@@ -28,6 +28,11 @@ Two families of numbers are recorded into ``BENCH_hotpath.json``:
   speedup that the acceptance gate (>= 1.5x) reads and the fused-vs-
   unfused ratio the self-normalizing fused gate reads.
 
+``--tile-ablation`` prints (and does not write) a one-process ablation on
+the 24 SNPs x 16384 samples ``dense-k3`` shape: fused and unfused
+``detect()``, each with the old fixed 512-combination tile and with the
+L2-sized tile, runs alternating, median of ``--repeats`` (at least 5).
+
 ``--quick`` shrinks the dataset/orders for the CI smoke job, and
 ``--check`` compares the *normalized* throughput of a fresh run against
 the committed artifact, failing on a >30% regression.  The check normalizes
@@ -291,6 +296,57 @@ def measure_end_to_end(dataset, quick: bool, repeats: int = 3) -> dict:
     return results
 
 
+def tile_ablation(repeats: int = 7) -> dict:
+    """Median detect() seconds per (fused mode, tile sizing), one process.
+
+    The fixed tile is the old sizing: a working-set budget so large that
+    every batch runs in :data:`~repro.engine.tiling.MAX_TILE_COMBOS`
+    whole-word tiles.  The L2 tile is the default.  Configurations
+    alternate within each round, so host drift hits all four alike.
+    """
+    from repro.engine import tiling
+
+    dataset = generate_dataset(SyntheticConfig(n_snps=24, n_samples=16384, seed=1))
+    budgets = {"fixed-512": 1 << 40, "l2": tiling.working_set_budget()}
+    detectors = {
+        fused: EpistasisDetector(
+            approach="cpu-v4", word_layout="u64", order=3, top_k=10, fused=fused
+        )
+        for fused in ("off", "on")
+    }
+    seconds = {(f, b): [] for f in detectors for b in budgets}
+    tops = set()
+    default_budget = tiling._budget_bytes
+    try:
+        for round_ in range(max(5, repeats) + 1):  # round 0 warms up
+            for (fused, tile), samples in seconds.items():
+                tiling._budget_bytes = budgets[tile]
+                started = time.perf_counter()
+                result = detectors[fused].detect(dataset)
+                if round_:
+                    samples.append(time.perf_counter() - started)
+                tops.add(tuple((i.snps, i.score) for i in result.top))
+    finally:
+        tiling._budget_bytes = default_budget
+    if len(tops) != 1:
+        raise SystemExit("tile ablation: top-k differs between configurations")
+    return {
+        "l2_bytes": budgets["l2"],
+        "median_s": {f"{f}/{b}": float(np.median(v)) for (f, b), v in seconds.items()},
+    }
+
+
+def print_tile_ablation(doc: dict) -> None:
+    med = doc["median_s"]
+    base = med["off/fixed-512"]
+    print(f"tile ablation, dense-k3 shape, L2 = {doc['l2_bytes']} bytes")
+    print("| fused | tile | median s | vs unfused 512 |")
+    print("|---|---|---:|---:|")
+    for key, value in med.items():
+        fused, tile = key.split("/")
+        print(f"| {fused} | {tile} | {value:.4f} | {base / value:.2f}x |")
+
+
 def run_benchmark(quick: bool = False, repeats: int = 3) -> dict:
     dataset = _dataset(quick)
     ENCODING_CACHE.clear()
@@ -549,7 +605,16 @@ def main(argv=None) -> int:
         "BENCH_hotpath.json, failing on a >30%% normalized regression "
         "(does not overwrite the artifact)",
     )
+    parser.add_argument(
+        "--tile-ablation",
+        action="store_true",
+        help="fused/unfused x fixed/L2 tile on the dense-k3 shape "
+        "(printed, not written to the artifact)",
+    )
     args = parser.parse_args(argv)
+    if args.tile_ablation:
+        print_tile_ablation(tile_ablation(args.repeats))
+        return 0
     if args.check:
         doc = run_benchmark(quick=True, repeats=args.repeats)
         e2e = doc["end_to_end"]

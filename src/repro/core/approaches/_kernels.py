@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.bitops.ops import OpCounter
 from repro.bitops.packing import paper_word_ratio as _paper_word_ratio
-from repro.bitops.popcount import popcount_sum
+from repro.bitops.popcount import HAS_BITWISE_COUNT, popcount_sum
 
 __all__ = [
     "MIN_ORDER",
@@ -50,8 +50,6 @@ __all__ = [
     "NAIVE_OPS_PER_COMBO_WORD",
     "SPLIT_OPS_PER_COMBO_WORD",
     "naive_tables",
-    "expand_split_planes",
-    "split_counts_from_planes",
     "split_class_counts",
     "split_tables",
     "charge_naive_ops",
@@ -171,21 +169,77 @@ def charge_split_ops(
             counter.add(mnemonic, int(round(per * scale)))
 
 
-def _genotype_grid(selected: list[np.ndarray]) -> np.ndarray:
-    """Broadcast k per-SNP ``(T, 3, W)`` plane stacks into ``(T, 3^k, W)``.
+def _buffers(order: int, n_combos: int, n_words: int, dtype) -> tuple[np.ndarray, ...]:
+    """Every temporary of one kernel call, carved from one allocation.
 
-    The cell order is the canonical big-endian radix-3 convention of
+    Returns ``(selected, sub, spare, head, popcounts)``: the plane-major
+    ``(k, 3, T, W)`` stack of each position's three genotype planes, two
+    flat buffers of one ``(3^(k-1), T, W)`` grid each, a ``(T, W)`` row and
+    a ``uint8`` grid for the per-word popcounts.  One allocation per call
+    instead of one per temporary keeps the allocator reusing the same warm
+    pages from call to call.
+    """
+    itemsize = np.dtype(dtype).itemsize
+    block = n_combos * n_words
+    grid_elems = 3 ** (order - 1) * block
+    stack_elems = order * 3 * block
+    word_bytes = (stack_elems + 2 * grid_elems + block) * itemsize
+    buf = np.empty(word_bytes + grid_elems, dtype=np.uint8)
+    words = buf[:word_bytes].view(dtype)
+    sub_end = stack_elems + grid_elems
+    return (
+        words[:stack_elems].reshape(order, 3, n_combos, n_words),
+        words[stack_elems:sub_end],
+        words[sub_end : sub_end + grid_elems],
+        words[sub_end + grid_elems :].reshape(n_combos, n_words),
+        buf[word_bytes:],
+    )
+
+
+def _grid_counts(buffers: tuple[np.ndarray, ...], masks, out: np.ndarray) -> None:
+    """``3^k`` popcounts of every genotype cell into ``out[:, :, m]``.
+
+    ``buffers`` comes from :func:`_buffers` with its ``selected`` stack
+    filled; each cell's AND of the k selected planes is further ANDed with
+    ``masks[m]`` (``None``: unmasked) and counted into column ``m`` of
+    ``out`` (``(T, 3^k, len(masks))``).  The cell order is the canonical
+    big-endian radix-3 convention of
     :func:`repro.core.contingency.combination_cell_index`: the first SNP of
     the combination is the most significant genotype digit.
+
+    The most significant digit is walked, so the broadcast never exceeds
+    the ``(3^(k-1), T, W)`` sub-grid plus one grid of the same size — the
+    two live grids the working-set budget sizes tiles for.  Cells lead the
+    layout, so every AND streams whole contiguous ``(T, W)`` blocks.
     """
-    n_combos, _, n_words = selected[0].shape
-    grid = selected[0]
-    cells = 3
-    for planes in selected[1:]:
-        grid = np.bitwise_and(grid[:, :, None, :], planes[:, None, :, :])
+    selected, sub_flat, spare_flat, head, popcounts = buffers
+    order, _, n_combos, n_words = selected.shape
+    block = n_combos * n_words
+    # Broadcast positions 1..k-1 into the sub-grid, alternating between the
+    # two flat buffers so that the last step lands in ``sub_flat``.
+    sub_grid, cells = selected[1], 3
+    for step in range(order - 2):
+        target = sub_flat if (order - 3 - step) % 2 == 0 else spare_flat
+        view = target[: cells * 3 * block].reshape(cells, 3, n_combos, n_words)
+        np.bitwise_and(sub_grid[:, None], selected[step + 2][None], out=view)
         cells *= 3
-        grid = grid.reshape(n_combos, cells, n_words)
-    return grid
+        sub_grid = view.reshape(cells, n_combos, n_words)
+
+    grid = spare_flat.reshape(cells, n_combos, n_words)
+    popcounts = popcounts.reshape(cells, n_combos, n_words)
+    for g0 in range(3):
+        span = slice(g0 * cells, (g0 + 1) * cells)
+        for column, mask in enumerate(masks):
+            # (head & mask) & sub_grid: the mask costs one (T, W) AND.
+            row = selected[0, g0]
+            if mask is not None:
+                row = np.bitwise_and(row, mask, out=head)
+            np.bitwise_and(row[None], sub_grid, out=grid)
+            if HAS_BITWISE_COUNT:
+                np.bitwise_count(grid, out=popcounts)
+                popcounts.sum(axis=-1, dtype=np.int64, out=out[:, span, column].T)
+            else:
+                out[:, span, column] = popcount_sum(grid).T
 
 
 def naive_tables(
@@ -200,7 +254,8 @@ def naive_tables(
     ----------
     planes:
         ``(n_snps, 3, n_words)`` packed bit-planes over all samples
-        (``uint32`` or ``uint64``).
+        (``uint32`` or ``uint64``; word views are fine — word passes slice
+        them).
     phenotype_words:
         ``(n_words,)`` packed phenotype (bit set = case) in the same layout
         as ``planes``.  Padding bits are zero, so the case/control masks
@@ -215,80 +270,21 @@ def naive_tables(
     """
     combos = np.asarray(combos, dtype=np.int64)
     order = check_order(combos.shape[1])
-    n_combos = combos.shape[0]
-    n_words = planes.shape[2]
-    cells = 3**order
+    n_combos, n_words = combos.shape[0], planes.shape[2]
     phen = np.asarray(phenotype_words, dtype=planes.dtype)
     # The padding bits of the planes are zero, so AND-ing with ~phenotype is
     # safe even though ~phenotype has the padding bits set.
     notphen = np.bitwise_not(phen)
-
-    selected = [planes[combos[:, t]] for t in range(order)]  # each (T, 3, W)
-
-    tables = np.empty((n_combos, cells, 2), dtype=np.int64)
-    # Walk the most-significant genotype digit to cap the broadcast at
-    # (T, 3^(k-1), W) intermediates; the tail sub-grid is g0-invariant.
-    sub_cells = cells // 3
-    sub_grid = _genotype_grid(selected[1:])
-    for g0 in range(3):
-        head = selected[0][:, g0, :]
-        grid = np.bitwise_and(head[:, None, :], sub_grid)
-        span = slice(g0 * sub_cells, (g0 + 1) * sub_cells)
-        tables[:, span, 1] = popcount_sum(np.bitwise_and(grid, phen))
-        tables[:, span, 0] = popcount_sum(np.bitwise_and(grid, notphen))
+    buffers = _buffers(order, n_combos, n_words, planes.dtype)
+    for stack, snps in zip(buffers[0], combos.T):
+        stack[:] = planes[snps].transpose(1, 0, 2)
+    tables = np.empty((n_combos, 3**order, 2), dtype=np.int64)
+    _grid_counts(buffers, (notphen, phen), tables)
     if counter is not None:
         charge_naive_ops(
             counter, n_combos, n_words, order, word_ratio=_paper_word_ratio(planes)
         )
     return tables
-
-
-def expand_split_planes(
-    class_planes: np.ndarray,
-    padding_mask: np.ndarray,
-    combos: np.ndarray,
-) -> list[np.ndarray]:
-    """Gather and NOR-expand one class's planes for a combination batch.
-
-    Returns one ``(n_combos, 3, n_words)`` stack per combination position:
-    the two stored planes of each selected SNP plus the genotype-2 plane
-    inferred by ``NOR`` (padding masked off).  This is the gather half of
-    the split kernel, factored out so callers that walk the samples in
-    word chunks (the cache-blocked kernel) gather and expand **once** per
-    batch and slice word views per pass instead of re-gathering.
-    """
-    combos = np.asarray(combos, dtype=np.int64)
-    order = check_order(combos.shape[1])
-    mask = np.asarray(padding_mask, dtype=class_planes.dtype)
-
-    def expand(planes_sel: np.ndarray) -> np.ndarray:
-        """(T, 2, W) stored planes -> (T, 3, W) with the inferred plane."""
-        g2 = np.bitwise_and(
-            np.bitwise_not(np.bitwise_or(planes_sel[:, 0], planes_sel[:, 1])), mask
-        )
-        return np.concatenate([planes_sel, g2[:, None, :]], axis=1)
-
-    return [expand(class_planes[combos[:, t]]) for t in range(order)]
-
-
-def split_counts_from_planes(selected: list[np.ndarray]) -> np.ndarray:
-    """``3^k`` counts from pre-expanded per-position plane stacks.
-
-    ``selected`` holds k ``(n_combos, 3, n_words)`` stacks (word views are
-    fine — the blocked kernel passes slices of one expanded batch).
-    """
-    n_combos = selected[0].shape[0]
-    order = len(selected)
-    cells = 3**order
-    sub_cells = cells // 3
-    counts = np.empty((n_combos, cells), dtype=np.int64)
-    sub_grid = _genotype_grid(selected[1:])
-    for g0 in range(3):
-        head = selected[0][:, g0, :]
-        grid = np.bitwise_and(head[:, None, :], sub_grid)
-        span = slice(g0 * sub_cells, (g0 + 1) * sub_cells)
-        counts[:, span] = popcount_sum(grid)
-    return counts
 
 
 def split_class_counts(
@@ -302,7 +298,7 @@ def split_class_counts(
     ----------
     class_planes:
         ``(n_snps, 2, n_words)`` planes of one phenotype class (``uint32``
-        or ``uint64``).
+        or ``uint64``; word views are fine — word passes slice them).
     padding_mask:
         ``(n_words,)`` mask of valid sample bits for the class (clears the
         padding bits that the NOR would otherwise set), same layout as the
@@ -315,9 +311,20 @@ def split_class_counts(
     numpy.ndarray
         ``(n_combos, 3^k)`` counts for this class.
     """
-    return split_counts_from_planes(
-        expand_split_planes(class_planes, padding_mask, combos)
-    )
+    combos = np.asarray(combos, dtype=np.int64)
+    order = check_order(combos.shape[1])
+    n_combos, n_words = combos.shape[0], class_planes.shape[2]
+    mask = np.asarray(padding_mask, dtype=class_planes.dtype)
+    buffers = _buffers(order, n_combos, n_words, class_planes.dtype)
+    for stack, snps in zip(buffers[0], combos.T):
+        stack[:2] = class_planes[snps].transpose(1, 0, 2)
+        inferred = stack[2]
+        np.bitwise_or(stack[0], stack[1], out=inferred)
+        np.bitwise_not(inferred, out=inferred)
+        np.bitwise_and(inferred, mask, out=inferred)
+    counts = np.empty((n_combos, 3**order), dtype=np.int64)
+    _grid_counts(buffers, (None,), counts[:, :, None])
+    return counts
 
 
 def split_tables(

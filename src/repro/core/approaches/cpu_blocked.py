@@ -22,13 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.approaches.base import Approach
-from repro.core.approaches._fused import fused_split_scores
-from repro.core.approaches._kernels import (
-    SPLIT_OPS_PER_COMBO_WORD,
-    charge_split_ops,
-    expand_split_planes,
-    split_counts_from_planes,
-)
+from repro.core.approaches._kernels import SPLIT_OPS_PER_COMBO_WORD, charge_split_ops
+from repro.core.approaches._tiled import fused_split_scores, tiled_split_tables
 from repro.datasets.binarization import PhenotypeSplitDataset
 from repro.datasets.dataset import GenotypeDataset
 from repro.devices.specs import CpuSpec
@@ -109,17 +104,6 @@ class CpuBlockedApproach(Approach):
         )
 
     # -- kernel ----------------------------------------------------------------
-    #: Ceiling on the transient AND-grid a single execution pass may
-    #: materialise (two ``n_combos x 3^(k-1) x words`` intermediates live
-    #: at once).  Execution passes are sized to this budget, keeping memory
-    #: bounded at whole-genome sample counts without the per-pass overhead
-    #: of the (much smaller) modelled BP blocks.
-    EXEC_GRID_BUDGET_BYTES: int = 64 * 1024 * 1024
-
-    def _exec_words_per_pass(self, n_combos: int, order: int, itemsize: int) -> int:
-        per_word_bytes = max(1, n_combos) * 3 ** (order - 1) * itemsize
-        return max(1, self.EXEC_GRID_BUDGET_BYTES // per_word_bytes)
-
     def build_tables(self, encoded: _BlockedEncoding, combos: np.ndarray) -> np.ndarray:
         """Blocked construction over a batch of combinations.
 
@@ -127,62 +111,15 @@ class CpuBlockedApproach(Approach):
         arithmetic: the modelled kernel walks the samples in chunks of
         ``BP`` (``BP / word_bits`` packed words), and that walk is recorded
         in ``sample_chunk_passes`` for the CARM/performance models.  The
-        NumPy execution, whose array ops never reproduced L1 residency in
-        the first place, gathers + NOR-expands each batch **once** and then
-        walks word *views* in passes sized to a fixed grid-memory budget —
-        a handful of MB-scale passes instead of hundreds of BP-sized ones,
-        while transient memory stays bounded at any sample count.  The
-        result is bit-identical to any other pass split (integer sums
-        reassociate exactly).
+        NumPy execution runs the batch in the tiles and word passes of
+        :func:`repro.engine.tiling.tile_plan`, sized so each kernel call's
+        AND-grids fit the host L2 — the same blocking idea, sized to the
+        cache the NumPy broadcasts actually stream through.  The result is
+        bit-identical to any other split (integer sums reassociate exactly).
         """
-        combos = self._check_combos(combos)
-        split = encoded.split
-        if combos.size and combos.max() >= split.n_snps:
-            raise IndexError("combination index exceeds the number of SNPs")
-        n_combos, order = combos.shape
-        self._last_order = order
-        words_per_chunk = max(1, encoded.block_samples // encoded.split.layout.bits)
-        exec_words = self._exec_words_per_pass(
-            n_combos, order, split.layout.dtype().itemsize
-        )
-
-        tables = np.zeros((n_combos, 3**order, 2), dtype=np.int64)
-        total_words = 0
-        word_ratio = split.layout.paper_words
-        for phenotype_class in (0, 1):
-            planes, _ = split.planes_for_class(phenotype_class)
-            mask = split.padding_mask(phenotype_class)
-            n_words = planes.shape[2]
-            total_words += n_words
-            if not self.backend.is_reference:
-                # Compiled backends stream the words inside their kernel
-                # with O(1) transients per thread — the budgeted pass split
-                # below exists only to bound the NumPy broadcast grids.
-                tables[:, :, phenotype_class] = self.backend.split_class_counts(
-                    planes, mask, combos
-                )
-            elif n_words <= exec_words:
-                # Common case: gather + NOR-expand once, one fused pass.
-                selected = expand_split_planes(planes, mask, combos)
-                tables[:, :, phenotype_class] = split_counts_from_planes(selected)
-            else:
-                # Whole-genome sample counts: gather within each
-                # budget-sized word slice so the expanded selection and the
-                # AND-grid both stay bounded, whatever n_samples is.
-                for start in range(0, n_words, exec_words):
-                    stop = min(start + exec_words, n_words)
-                    selected = expand_split_planes(
-                        planes[:, :, start:stop], mask[start:stop], combos
-                    )
-                    tables[:, :, phenotype_class] += split_counts_from_planes(
-                        selected
-                    )
-            # Modelled Algorithm 1 walk: ceil(n_words / (BP / word_bits))
-            # sample-chunk passes per class.
-            self._sample_passes += -(-n_words // words_per_chunk)
-        charge_split_ops(
-            self.counter, n_combos, total_words, order, word_ratio=word_ratio
-        )
+        combos = self._check_batch(encoded, combos)
+        tables = tiled_split_tables(self.backend, encoded.split, combos)
+        self._charge_blocked(encoded, combos)
         return tables
 
     def score_combinations(
@@ -195,19 +132,31 @@ class CpuBlockedApproach(Approach):
         Algorithm 1 ``sample_chunk_passes`` record — blocking and fusion
         both describe *where* real loads hit, never the modelled counts.
         """
+        combos = self._check_batch(encoded, combos)
+        scores = fused_split_scores(self.backend, encoded.split, combos, objective)
+        self._charge_blocked(encoded, combos)
+        return scores
+
+    def _check_batch(self, encoded: _BlockedEncoding, combos: np.ndarray) -> np.ndarray:
         combos = self._check_combos(combos)
-        split = encoded.split
-        if combos.size and combos.max() >= split.n_snps:
+        if combos.size and combos.max() >= encoded.split.n_snps:
             raise IndexError("combination index exceeds the number of SNPs")
-        n_combos, order = combos.shape
-        self._last_order = order
-        scores = fused_split_scores(self.backend, split, combos, objective)
+        self._last_order = combos.shape[1]
+        return combos
+
+    def _charge_blocked(self, encoded: _BlockedEncoding, combos: np.ndarray) -> None:
+        """Record the Algorithm 1 walk and charge the §IV split mix.
+
+        The modelled walk takes ``ceil(n_words / (BP / word_bits))``
+        sample-chunk passes per class, whatever the execution's tiles.
+        """
+        split = encoded.split
         words_per_chunk = max(1, encoded.block_samples // split.layout.bits)
         total_words = 0
-        for phenotype_class in (0, 1):
-            planes, _ = split.planes_for_class(phenotype_class)
+        for planes in (split.control_planes, split.case_planes):
             total_words += planes.shape[2]
             self._sample_passes += -(-planes.shape[2] // words_per_chunk)
+        n_combos, order = combos.shape
         charge_split_ops(
             self.counter,
             n_combos,
@@ -215,7 +164,6 @@ class CpuBlockedApproach(Approach):
             order,
             word_ratio=split.layout.paper_words,
         )
-        return scores
 
     def extra_stats(self) -> dict:
         # Per-core working set of Algorithm 1 at the most recent order k:

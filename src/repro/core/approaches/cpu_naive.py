@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.bitops.packing import paper_word_ratio
 from repro.core.approaches.base import Approach
-from repro.core.approaches._fused import fused_naive_scores
+from repro.core.approaches._tiled import fused_naive_scores, tiled_naive_tables
 from repro.core.approaches._kernels import NAIVE_OPS_PER_COMBO_WORD, charge_naive_ops
 from repro.datasets.binarization import BinarizedDataset
 from repro.datasets.dataset import GenotypeDataset
@@ -42,9 +42,7 @@ class CpuNaiveApproach(Approach):
         combos = self._check_combos(combos)
         if combos.size and combos.max() >= encoded.n_snps:
             raise IndexError("combination index exceeds the number of SNPs")
-        tables = self.backend.naive_tables(
-            encoded.planes, encoded.phenotype_words, combos
-        )
+        tables = tiled_naive_tables(self.backend, encoded, combos)
         # Charging is modelled per paper word and backend-independent: the
         # same §IV mix whichever backend produced the (bit-identical) tables.
         charge_naive_ops(

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.bitops.packing import paper_word_ratio
 from repro.core.approaches.base import Approach
-from repro.core.approaches._fused import fused_split_scores
+from repro.core.approaches._tiled import fused_split_scores, tiled_split_tables
 from repro.core.approaches._kernels import SPLIT_OPS_PER_COMBO_WORD, charge_split_ops
 from repro.datasets.binarization import PhenotypeSplitDataset
 from repro.datasets.dataset import GenotypeDataset
@@ -48,13 +48,7 @@ class CpuNoPhenotypeApproach(Approach):
         combos = self._check_combos(combos)
         if combos.size and combos.max() >= encoded.n_snps:
             raise IndexError("combination index exceeds the number of SNPs")
-        tables = self.backend.split_tables(
-            encoded.control_planes,
-            encoded.case_planes,
-            encoded.padding_mask(0),
-            encoded.padding_mask(1),
-            combos,
-        )
+        tables = tiled_split_tables(self.backend, encoded, combos)
         # Modelled per-paper-word charging, identical whichever backend ran.
         charge_split_ops(
             self.counter,

@@ -595,10 +595,15 @@ class ProcessRunner:
         isolate = False
         last_progress = time.monotonic()
 
+        def suspect(batch: List[tuple]) -> bool:
+            return any(log.attempts.get(task[0], 0) for task in batch)
+
         def fill_window() -> None:
             # Keep at most ``workers`` batches in flight: precise failure
             # attribution (what is in flight is what is actually running)
             # at no throughput cost — the pool has no more lanes anyway.
+            # A shard that has failed before runs alone, so when it breaks
+            # the pool again no healthy shard is charged the attempt.
             # Raises BrokenProcessPool (batch safely requeued) when the
             # pool broke before the submit.
             while queue and len(pending) < self.workers:
@@ -607,6 +612,11 @@ class ProcessRunner:
                     for task in reversed(batch):
                         queue.appendleft([task])
                     continue
+                if pending and (
+                    suspect(batch) or any(map(suspect, pending.values()))
+                ):
+                    queue.appendleft(batch)
+                    return
                 try:
                     future = fleet.submit(_run_shard_batch, self.payload, batch)
                 except BrokenProcessPool:

@@ -22,7 +22,7 @@ __all__ = [
 
 #: Version of the manifest/host block layout shared by trace files and
 #: benchmark artifacts.
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 
 
 def host_metadata() -> dict:
@@ -30,12 +30,14 @@ def host_metadata() -> dict:
 
     Identical in shape across trace manifests and all bench artifacts:
     cpu count, python/numpy versions, platform string, active word
-    layout, resolved backend, and the block's schema version.
+    layout, resolved backend, the L2 bytes the kernel tiles were sized
+    against, and the block's schema version.
     """
     import numpy as np
 
     from ..backends import resolve_backend_name
     from ..bitops.packing import DEFAULT_LAYOUT
+    from ..engine.tiling import working_set_budget
 
     try:
         backend = resolve_backend_name(None)
@@ -51,6 +53,7 @@ def host_metadata() -> dict:
         "word_layout": DEFAULT_LAYOUT.name,
         "word_bits": DEFAULT_LAYOUT.bits,
         "backend": backend,
+        "l2_bytes": working_set_budget(),
         "argv0": os.path.basename(sys.argv[0]) if sys.argv else "",
     }
 

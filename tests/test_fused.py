@@ -102,11 +102,6 @@ class TestFusedMode:
         assert default.stats.extra["fused"] == "auto"
 
 
-# ---------------------------------------------------------------------------
-# SNP-block tiling
-# ---------------------------------------------------------------------------
-
-
 class TestSnpTiling:
     def test_tiles_cover_combos_in_order(self):
         combos = generate_combinations(12, 3)

@@ -328,14 +328,15 @@ class TestAutotuner:
         assert a == (0, 512) and b[0] == 512
 
     def test_blocked_exec_passes_stay_memory_bounded(self):
-        from repro.core.approaches.cpu_blocked import CpuBlockedApproach
+        from repro.engine.tiling import tile_plan, working_set_budget
 
-        approach = CpuBlockedApproach()
-        # Huge synthetic geometry: the per-pass word budget must cap the
-        # transient grid regardless of sample count.
-        words = approach._exec_words_per_pass(2048, 3, 8)
-        assert words * 2048 * 9 * 8 <= approach.EXEC_GRID_BUDGET_BYTES
-        assert approach._exec_words_per_pass(10**9, 5, 8) == 1
+        # Huge synthetic geometry: tiles and word passes must cap the two
+        # live AND-grids at the L2 working-set budget, whatever the sample
+        # count.
+        tile, words = tile_plan(2048, 3, 10**6, 8)
+        assert 2 * tile * 9 * words * 8 <= working_set_budget()
+        # Degenerate geometry: never fewer than one word per pass.
+        assert tile_plan(10**9, 5, 10**9, 8)[1] >= 1
 
     def test_autotune_stats_surface(self, hotpath_dataset):
         result = EpistasisDetector(

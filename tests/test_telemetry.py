@@ -295,7 +295,8 @@ class TestExporters:
         names = {e["args"]["name"] for e in events if e["ph"] == "M"}
         assert any(label.startswith("repro pid=") for label in names)
         assert doc["metadata"]["run_id"] == run.run_id
-        assert doc["metadata"]["host"]["schema_version"] == 1
+        assert doc["metadata"]["host"]["schema_version"] == 2
+        assert doc["metadata"]["host"]["l2_bytes"] > 0
 
     def test_round_trip_both_formats(self, run, tmp_path):
         chrome = tmp_path / "trace.json"
