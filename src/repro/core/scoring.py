@@ -26,6 +26,11 @@ the cost.  Non-integer or out-of-range input transparently falls back to
 the scipy path.  The ``prepare`` hook is objective-level, so the other
 criteria can precompute per-dataset state the same way.
 
+Both paths use :func:`scipy.special.gammaln`, so scipy is a hard
+dependency: the C library's ``lgamma`` differs from it in the last bits
+on about half of the integers (e.g. at 3, 4 and 5), so a substitute
+would silently change K2 scores.
+
 Additional objective functions (mutual information, Gini impurity,
 chi-squared) are provided as drop-in alternatives; they follow the same
 "lower is better" convention so the detector can minimise uniformly
@@ -37,15 +42,7 @@ from __future__ import annotations
 from typing import Dict, Protocol, Type
 
 import numpy as np
-
-try:
-    from scipy.special import gammaln
-except ImportError:  # pragma: no cover - scipy-less environments
-    import math
-
-    # C-library lgamma agrees with scipy's gammaln on the integer abscissae
-    # the scores evaluate; vectorised here so the call sites stay identical.
-    gammaln = np.vectorize(math.lgamma, otypes=[np.float64])
+from scipy.special import gammaln
 
 __all__ = [
     "ObjectiveFunction",
